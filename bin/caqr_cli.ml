@@ -318,8 +318,9 @@ let qasmc_cmd =
 (* ---- simulate ---- *)
 
 let simulate_cmd =
-  let run entry strategy noisy shots seed jobs max_sim_qubits =
+  let run entry strategy noisy shots seed jobs max_sim_qubits timings =
     apply_sim_cap max_sim_qubits;
+    if timings then Obs.Metrics.reset ();
     let device = device_for entry in
     let r =
       Caqr.Pipeline.compile ~options:(options_for ~jobs false) device strategy
@@ -334,18 +335,20 @@ let simulate_cmd =
     Format.printf "%s / %s (%s, %d shots):@.%a@." entry.Benchmarks.Suite.name
       (Caqr.Pipeline.strategy_name strategy)
       (if noisy then "noisy" else "ideal")
-      shots Sim.Counts.pp counts
+      shots Sim.Counts.pp counts;
+    if timings then Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ())
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "simulate" ~doc:"Compile and simulate a benchmark")
     Cmdliner.Term.(
       const run $ bench_pos $ strategy_flag $ noisy_flag $ shots_flag
-      $ seed_flag $ jobs_flag $ max_sim_qubits_flag)
+      $ seed_flag $ jobs_flag $ max_sim_qubits_flag $ timings_flag)
 
 (* ---- verify ---- *)
 
 let verify_cmd =
-  let run entry level seed jobs =
+  let run entry level seed jobs timings =
+    if timings then Obs.Metrics.reset ();
     let device = device_for entry in
     let input = input_of_entry entry in
     let options =
@@ -372,6 +375,7 @@ let verify_cmd =
         Printf.printf "%-18s %-8d %s\n%!" name r.Caqr.Pipeline.reuse_pairs
           (Verify.Verdict.to_string verdict))
       all_strategies reports;
+    if timings then Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ());
     if !failed then begin
       Printf.eprintf "verification FAILED: a strategy emitted an inequivalent circuit\n";
       exit 1
@@ -382,7 +386,8 @@ let verify_cmd =
        ~doc:
          "Compile a benchmark with every strategy and translation-validate \
           each output; exits non-zero if any verdict is inequivalent")
-    Cmdliner.Term.(const run $ bench_pos $ level_flag $ seed_flag $ jobs_flag)
+    Cmdliner.Term.(
+      const run $ bench_pos $ level_flag $ seed_flag $ jobs_flag $ timings_flag)
 
 (* ---- fuzz ---- *)
 

@@ -85,13 +85,14 @@ type report = {
   stats : Transpiler.Transpile.stats;
   reuse_pairs : int;
   quality : Quality.t;
-      (** {!Quality.Exact} when the reuse engine ran to natural
-          completion (always the case for [Baseline] and [Sr]);
-          {!Quality.Anytime} when the wall-clock budget (or the QS node
-          cap) cut the engine short and the report carries its best
-          incumbent instead. Anytime artifacts are fully routed and
-          verifiable — only their reuse count may be short of what an
-          unbounded run would find. *)
+      (** {!Quality.Exact} when the reuse engine ran to its
+          deterministic completion (always the case for [Baseline] and
+          [Sr]); for QS that includes the DFS node cap ending the search,
+          which any rerun reproduces. {!Quality.Anytime} when a
+          wall-clock budget trip cut the engine short and the report
+          carries its best incumbent instead. Anytime artifacts are
+          fully routed and verifiable — only their reuse count may be
+          short of what an unbounded run would find. *)
   verification : Verify.verdict option;
       (** translation-validation verdict, present when [compile] was
           asked to verify *)

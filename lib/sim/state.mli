@@ -36,6 +36,20 @@ val probability : t -> int -> float
 (** Full probability vector, length [2^n]. *)
 val probabilities : t -> float array
 
+(** A complex number as [(re, im)]. *)
+type complex = float * float
+
+(** [matrix g] is the 2x2 unitary of [g] as [(a, b, c, d)] for
+    [[a b][c d]], in the basis [|0>, |1>]. *)
+val matrix : Quantum.Gate.one_q -> complex * complex * complex * complex
+
+(** [apply_matrix st a b c d q] applies [[a b][c d]] to qubit [q]. *)
+val apply_matrix : t -> complex -> complex -> complex -> complex -> int -> unit
+
+(** [apply_one_q st g q] applies [g] through a kernel chosen for its
+    shape: a swap of the two halves for X, a |1>-half phase for Z, S,
+    Sdg, T, Tdg and Phase, {!apply_matrix} for the rest. Every amplitude gets the value {!apply_matrix} with
+    [matrix g] gives it, up to the sign of a zero. *)
 val apply_one_q : t -> Quantum.Gate.one_q -> int -> unit
 val apply_cx : t -> int -> int -> unit
 val apply_cz : t -> int -> int -> unit
@@ -48,6 +62,9 @@ val apply_pauli : t -> int -> int -> unit
 (** Deep copy — branch-enumeration checkers fork the state at each
     measurement instead of sampling it. *)
 val copy : t -> t
+
+(** [reinit st] puts [st] back to |0...0>, reusing its buffers. *)
+val reinit : t -> unit
 
 (** [collapse st q outcome] projects qubit [q] onto [outcome] and
     renormalizes, regardless of how unlikely the outcome was (callers

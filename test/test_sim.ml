@@ -218,6 +218,284 @@ let test_executor_compacts_wide_circuits () =
   let counts = Sim.Executor.run ~seed:4 ~shots:100 (B.build b) in
   check int "correlated" 100 (Sim.Counts.get counts 0 + Sim.Counts.get counts 3)
 
+(* ---- Shot-grouped sampling vs the per-shot reference ---- *)
+
+(* The sampler [Executor.run] replaced: every shot re-simulated from
+   |0...0>, drawing from the batch stream at each Measure/Reset as it
+   goes. Same batches, same per-batch stream derivation. *)
+let reference_run ~seed ~shots circuit =
+  let circuit = fst (Quantum.Circuit.compact_qubits circuit) in
+  let rng_of_prng prng =
+    let word () = Int64.to_int (Int64.logand (Exec.Prng.bits64 prng) 0x3FFFFFFFL) in
+    Random.State.make [| word (); word (); 0xe7ec |]
+  in
+  let run_shot rng =
+    let st = Sim.State.init circuit.Quantum.Circuit.num_qubits in
+    let creg = ref 0 in
+    Array.iter
+      (fun g ->
+        match g.G.kind with
+        | G.One_q (g, q) -> Sim.State.apply_one_q st g q
+        | G.Cx (a, b) -> Sim.State.apply_cx st a b
+        | G.Cz (a, b) -> Sim.State.apply_cz st a b
+        | G.Rzz (th, a, b) -> Sim.State.apply_rzz st th a b
+        | G.Swap (a, b) -> Sim.State.apply_swap st a b
+        | G.Measure (q, c) ->
+          let o = Sim.State.measure rng st q in
+          creg := (!creg land lnot (1 lsl c)) lor (o lsl c)
+        | G.Reset q -> Sim.State.reset rng st q
+        | G.If_x (c, q) -> if !creg land (1 lsl c) <> 0 then Sim.State.apply_one_q st G.X q
+        | G.Barrier _ -> ())
+      circuit.Quantum.Circuit.gates;
+    !creg
+  in
+  let sizes = List.init ((shots + 255) / 256) (fun i -> min 256 (shots - (i * 256))) in
+  Exec.Pool.map_seeded ~jobs:1 ~seed
+    (fun prng size ->
+      let rng = rng_of_prng prng in
+      let counts = Sim.Counts.create ~num_clbits:circuit.Quantum.Circuit.num_clbits in
+      for _ = 1 to size do
+        Sim.Counts.add counts (run_shot rng)
+      done;
+      counts)
+    sizes
+  |> List.fold_left Sim.Counts.merge
+       (Sim.Counts.create ~num_clbits:circuit.Quantum.Circuit.num_clbits)
+
+(* Inexact weights, so the expectation's float sum depends on the order
+   the histogram is folded in. *)
+let weight k = 1. /. float_of_int (k + 3)
+
+(* Byte identity: the sorted histogram, the bits of an expectation (sums
+   in Hashtbl order, so it sees the insertion sequence) and [top]. *)
+let check_same_counts name expected got =
+  check
+    (Alcotest.list (Alcotest.pair int int))
+    (name ^ ": counts") (Sim.Counts.to_list expected) (Sim.Counts.to_list got);
+  check Alcotest.int64 (name ^ ": expectation bits")
+    (Int64.bits_of_float (Sim.Counts.expectation expected weight))
+    (Int64.bits_of_float (Sim.Counts.expectation got weight));
+  check (Alcotest.option int) (name ^ ": top") (Sim.Counts.top expected)
+    (Sim.Counts.top got)
+
+let check_against_reference name ~seed ~shots c =
+  check_same_counts name (reference_run ~seed ~shots c)
+    (Sim.Executor.run ~jobs:1 ~seed ~shots c)
+
+let test_grouped_matches_reference_fuzz () =
+  let cfg = { Fuzz.Gen.default with Fuzz.Gen.max_qubits = 7; max_gates = 60 } in
+  let root = Exec.Prng.make 0x5eed in
+  for i = 0 to 299 do
+    let c = Fuzz.Gen.circuit cfg (Exec.Prng.split root i) in
+    List.iter
+      (fun seed ->
+        check_against_reference (Printf.sprintf "fuzz %d seed %d" i seed) ~seed ~shots:300 c)
+      [ 1; 77 ]
+  done
+
+let qs_artifacts name =
+  let e = Benchmarks.Suite.find name in
+  let input =
+    match e.Benchmarks.Suite.kind with
+    | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
+    | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
+  in
+  let device = Hardware.Device.heavy_hex_for e.Benchmarks.Suite.circuit.Quantum.Circuit.num_qubits in
+  let r = Caqr.Pipeline.compile device Caqr.Pipeline.Qs_max_reuse input in
+  [ ("logical", r.Caqr.Pipeline.logical); ("physical", r.Caqr.Pipeline.physical) ]
+
+let test_grouped_matches_reference_table1 () =
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun (side, c) ->
+          check_against_reference (bench ^ " " ^ side) ~seed:3 ~shots:512 c)
+        (qs_artifacts bench))
+    [ "Multiply_13"; "QAOA10-0.3" ]
+
+(* 18 qubits make a state 4 MiB, so the executor's copy budget holds
+   only two copies: the deeper splits of this circuit's six mid-circuit
+   fair-coin measurements must be replayed from |0...0>. The last four
+   measurements read X-prepared qubits, so a replay that does not start
+   from |0...0> reads 0 where the per-shot run reads 1. *)
+let test_grouped_replay_fallback () =
+  let n = 18 in
+  let b = B.create ~num_qubits:n ~num_clbits:10 in
+  let rng = Random.State.make [| 18 |] in
+  for q = 0 to n - 1 do
+    if q < 6 then B.h b q else B.x b q
+  done;
+  for c = 0 to 5 do
+    B.measure b c c;
+    B.reset b c;
+    B.rx b (Random.State.float rng 3.) c
+  done;
+  for c = 6 to 9 do
+    B.measure b c c
+  done;
+  let c = B.build b in
+  let replays = Obs.Metrics.count "sim.replays" in
+  check_against_reference "18 qubits" ~seed:5 ~shots:32 c;
+  check bool "replay path taken" true (Obs.Metrics.count "sim.replays" > replays)
+
+let test_grouped_counters () =
+  (* A fair coin read twice around a reset: every 256-shot batch follows
+     all four outcome paths (00, 01, 10, 11) and replays none. *)
+  let b = B.create ~num_qubits:1 ~num_clbits:2 in
+  B.h b 0;
+  B.measure b 0 0;
+  B.reset b 0;
+  B.h b 0;
+  B.measure b 0 1;
+  let c = B.build b in
+  let before = List.map Obs.Metrics.count [ "sim.shots"; "sim.trajectories"; "sim.replays" ] in
+  ignore (Sim.Executor.run ~jobs:2 ~seed:9 ~shots:512 c);
+  let after = List.map Obs.Metrics.count [ "sim.shots"; "sim.trajectories"; "sim.replays" ] in
+  check (Alcotest.list int) "shots, trajectories, replays" [ 512; 8; 0 ]
+    (List.map2 ( - ) after before)
+
+(* ---- Kernels ---- *)
+
+let to_alcotest t =
+  let (QCheck2.Test.Test cell) = t in
+  let name = QCheck2.Test.get_name cell in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x51a7; Hashtbl.hash name |]) t
+
+(* A generic state: random rotations and entanglers from |0...0>. *)
+let random_state n seed =
+  let rng = Random.State.make [| seed |] in
+  let st = Sim.State.init n in
+  for _ = 1 to 3 do
+    for q = 0 to n - 1 do
+      Sim.State.apply_one_q st (G.Ry (Random.State.float rng 6.)) q;
+      Sim.State.apply_one_q st (G.Rz (Random.State.float rng 6.)) q
+    done;
+    for q = 0 to n - 2 do
+      Sim.State.apply_cx st q (q + 1)
+    done
+  done;
+  st
+
+let one_q_gates th =
+  [ G.H; G.X; G.Y; G.Z; G.S; G.Sdg; G.T; G.Tdg; G.Sx; G.Rx th; G.Ry th; G.Rz th; G.Phase th ]
+
+let prob_bits st = Array.map Int64.bits_of_float (Sim.State.probabilities st)
+
+let same_amplitudes a b =
+  let ok = ref true in
+  for i = 0 to (1 lsl Sim.State.num_qubits a) - 1 do
+    (* [=] identifies 0. and -0.: the sign of a zero is the one
+       difference the specialized kernels are allowed. *)
+    if Sim.State.amplitude a i <> Sim.State.amplitude b i then ok := false
+  done;
+  !ok
+
+let prop_one_q_kernels =
+  QCheck.Test.make ~name:"one-qubit kernels = apply_matrix of the gate's matrix" ~count:200
+    QCheck.(triple (int_range 1 5) (int_range 0 10_000) (float_range (-7.) 7.))
+    (fun (n, seed, th) ->
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun q ->
+              let st = random_state n seed in
+              let reference = Sim.State.copy st in
+              Sim.State.apply_one_q st g q;
+              let a, b, c, d = Sim.State.matrix g in
+              Sim.State.apply_matrix reference a b c d q;
+              prob_bits st = prob_bits reference && same_amplitudes st reference)
+            (List.init n Fun.id))
+        (one_q_gates th))
+
+(* The per-index loops the stride kernels replaced. *)
+let reference_two_q st i_pairs f =
+  let size = 1 lsl Sim.State.num_qubits st in
+  let re = Array.init size (fun i -> fst (Sim.State.amplitude st i)) in
+  let im = Array.init size (fun i -> snd (Sim.State.amplitude st i)) in
+  for i = 0 to size - 1 do
+    if i_pairs i then f re im i
+  done;
+  (re, im)
+
+let prop_two_q_kernels =
+  QCheck.Test.make ~name:"two-qubit stride kernels = per-index loops" ~count:200
+    QCheck.(quad (int_range 2 5) (int_range 0 10_000) (float_range (-7.) 7.) (pair small_nat small_nat))
+    (fun (n, seed, th, (a, b)) ->
+      let a = a mod n and b = b mod n in
+      QCheck.assume (a <> b);
+      let ab = 1 lsl a and bb = 1 lsl b in
+      let swap re im i j =
+        let r = re.(i) and m = im.(i) in
+        re.(i) <- re.(j);
+        im.(i) <- im.(j);
+        re.(j) <- r;
+        im.(j) <- m
+      in
+      let c = cos (th /. 2.) and s = sin (th /. 2.) in
+      let cases =
+        [
+          ( (fun st -> Sim.State.apply_cx st a b),
+            (fun i -> i land ab <> 0 && i land bb = 0),
+            fun re im i -> swap re im i (i lor bb) );
+          ( (fun st -> Sim.State.apply_cz st a b),
+            (fun i -> i land ab <> 0 && i land bb <> 0),
+            fun re im i ->
+              re.(i) <- -.re.(i);
+              im.(i) <- -.im.(i) );
+          ( (fun st -> Sim.State.apply_swap st a b),
+            (fun i -> i land ab <> 0 && i land bb = 0),
+            fun re im i -> swap re im i (i lxor ab lxor bb) );
+          ( (fun st -> Sim.State.apply_rzz st th a b),
+            (fun _ -> true),
+            fun re im i ->
+              let sign = if (i land ab <> 0) = (i land bb <> 0) then -.s else s in
+              let r = re.(i) and m = im.(i) in
+              re.(i) <- (c *. r) -. (sign *. m);
+              im.(i) <- (c *. m) +. (sign *. r) );
+        ]
+      in
+      List.for_all
+        (fun (kernel, sel, f) ->
+          let st = random_state n seed in
+          let re, im = reference_two_q st sel f in
+          kernel st;
+          Array.for_all Fun.id
+            (Array.mapi (fun i r -> Sim.State.amplitude st i = (r, im.(i))) re))
+        cases)
+
+let prop_measure_kernels =
+  QCheck.Test.make ~name:"prob_one and collapse = per-index loops" ~count:200
+    QCheck.(triple (int_range 1 5) (int_range 0 10_000) (pair small_nat bool))
+    (fun (n, seed, (q, one)) ->
+      let q = q mod n and outcome = if one then 1 else 0 in
+      let st = random_state n seed in
+      let bit = 1 lsl q in
+      let size = 1 lsl n in
+      let sum sel =
+        let acc = ref 0. in
+        for i = 0 to size - 1 do
+          if sel i then begin
+            let r, m = Sim.State.amplitude st i in
+            acc := !acc +. (r *. r) +. (m *. m)
+          end
+        done;
+        !acc
+      in
+      let keep i = (i land bit <> 0) = (outcome = 1) in
+      let p1 = sum (fun i -> i land bit <> 0) and acc = sum keep in
+      let scale = 1. /. sqrt (Float.max acc 1e-300) in
+      let expected =
+        Array.init size (fun i ->
+            if keep i then
+              let r, m = Sim.State.amplitude st i in
+              (r *. scale, m *. scale)
+            else (0., 0.))
+      in
+      let p1_bits = Int64.bits_of_float (Sim.State.prob_one st q) in
+      Sim.State.collapse st q outcome;
+      p1_bits = Int64.bits_of_float p1
+      && Array.for_all Fun.id (Array.mapi (fun i e -> Sim.State.amplitude st i = e) expected))
+
 (* ---- Noise ---- *)
 
 let device () = Hardware.Device.mumbai
@@ -354,7 +632,13 @@ let () =
           Alcotest.test_case "reset and reuse" `Quick test_executor_reset_reuse;
           Alcotest.test_case "exact distribution" `Quick test_distribution_exact;
           Alcotest.test_case "wide circuit compaction" `Quick test_executor_compacts_wide_circuits;
+          Alcotest.test_case "grouped = per-shot: fuzz circuits" `Quick test_grouped_matches_reference_fuzz;
+          Alcotest.test_case "grouped = per-shot: table1 artifacts" `Quick test_grouped_matches_reference_table1;
+          Alcotest.test_case "grouped = per-shot: replay fallback" `Quick test_grouped_replay_fallback;
+          Alcotest.test_case "work counters" `Quick test_grouped_counters;
         ] );
+      ( "kernels",
+        List.map to_alcotest [ prop_one_q_kernels; prop_two_q_kernels; prop_measure_kernels ] );
       ( "noise",
         [
           Alcotest.test_case "trend preserved" `Quick test_noise_preserves_trend;
